@@ -96,7 +96,7 @@ _EXPERIMENTS: Dict[str, Tuple[str, Callable[..., Any], Callable[[Any], str]]] = 
                    routings=tuple(args.routings.split(",")),
                    policies=tuple(args.policies.split(",")),
                    data_policies=tuple(args.data_policies.split(",")),
-                   shape=tuple(int(x) for x in args.points.split("x")),
+                   shape=args.points,
                    resolution=args.resolution, n_planes=args.planes,
                    z_source=args.z_source, zooms=args.zooms,
                    n_grids=args.grids,
@@ -224,6 +224,15 @@ def _run_campaign(args) -> Tuple[str, Any]:
     return "\n".join(lines), result
 
 
+def _grid_shape(text: str) -> Tuple[int, int]:
+    """``--points`` value: ``NxM`` with positive integers N and M."""
+    parts = text.split("x")
+    if len(parts) == 2 and all(p.isdecimal() and int(p) > 0 for p in parts):
+        return int(parts[0]), int(parts[1])
+    raise argparse.ArgumentTypeError(
+        f"expected NxM with positive integers, got {text!r}")
+
+
 def _add_obs_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trace", metavar="PATH", default=None,
                    help="write the span store as Chrome-trace/Perfetto JSON")
@@ -278,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="grid-wide result memoization keyed on "
                                 "canonical request descriptors (default off)")
         if name == "survey":
-            p.add_argument("--points", default="3x3",
+            p.add_argument("--points", default="3x3", type=_grid_shape,
                            help="cosmology grid shape as NXxNY over the "
                                 "(omega_m, sigma8) plane (default 3x3)")
             p.add_argument("--resolution", type=int, default=64,

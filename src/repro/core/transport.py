@@ -214,7 +214,11 @@ class Endpoint:
                 raise
             except Exception as exc:  # ship failures back to the caller
                 if msg.reply_to is not None:
-                    self.fabric._deliver_reply(msg, self, "error", exc, 128)
+                    # The server-side stack does not cross the wire: its
+                    # frames hold ``msg``, whose reply would hold the error
+                    # that holds the frames -- a cycle.
+                    self.fabric._deliver_reply(
+                        msg, self, "error", exc.with_traceback(None), 128)
                     return
                 raise
             if msg.reply_to is not None:
@@ -320,7 +324,16 @@ class Endpoint:
                                  attempt=attempt)
             yield from self.run_chain("complete", ctx)
             if status == "error":
-                raise value
+                # The traceback keeps this frame alive: drop every local
+                # that still reaches the error (the reply event holds it
+                # too), or error -> traceback -> frame -> error is a cycle
+                # only the collector can free.
+                error = value
+                value = result = ctx = reply = msg = None
+                try:
+                    raise error
+                finally:
+                    del error
             return value
 
 

@@ -33,6 +33,7 @@ Both modes execute the same DIET code path end to end.
 from __future__ import annotations
 
 import enum
+import gzip
 import math
 import os
 import tarfile
@@ -421,11 +422,27 @@ class RamsesService:
         write_snapshot(os.path.join(job_dir, "output_00001"), header,
                        snap.particles)
         tar_path = os.path.join(job_dir, "results.tar.gz")
-        with tarfile.open(tar_path, "w:gz") as tar:
-            tar.add(catalog_path, arcname="halo_catalog.dat")
+        # Byte-reproducible: no wall-clock mtime in the gzip header or the
+        # members, no owner of the host account.  The tarball's size feeds
+        # the simulated result transfer, so it must be a function of the
+        # seed alone.
+        with open(tar_path, "wb") as raw, \
+                gzip.GzipFile(filename="", fileobj=raw, mode="wb",
+                              mtime=0) as gz, \
+                tarfile.open(fileobj=gz, mode="w") as tar:
+            tar.add(catalog_path, arcname="halo_catalog.dat",
+                    filter=_normalize_member)
             tar.add(os.path.join(job_dir, "output_00001"),
-                    arcname="output_00001")
+                    arcname="output_00001", filter=_normalize_member)
         return tar_path
+
+
+def _normalize_member(info: tarfile.TarInfo) -> tarfile.TarInfo:
+    """Strip host-dependent metadata from one result-tarball member."""
+    info.mtime = 0
+    info.uid = info.gid = 0
+    info.uname = info.gname = ""
+    return info
 
 
 #: Default box size (Mpc/h) used by REAL-mode runs (the paper's 100).

@@ -642,6 +642,28 @@ raise_simerror(const char *fmt, PyObject *obj)
     PyErr_Format(g_simerror ? g_simerror : PyExc_RuntimeError, fmt, obj);
 }
 
+/* A finished process holds no reference to itself: clear the bound
+ * resume callback (process -> method -> process) and the last target.
+ * The generator's exception stays set across the two stores. */
+static int
+drop_self_refs(PyObject *process)
+{
+    PyObject *etype, *evalue, *etb;
+    int rc;
+    PyErr_Fetch(&etype, &evalue, &etb);
+    rc = PyObject_SetAttr(process, str__resume_cb, Py_None);
+    if (rc == 0)
+        rc = PyObject_SetAttr(process, str__target, Py_None);
+    if (rc < 0) {
+        Py_XDECREF(etype);
+        Py_XDECREF(evalue);
+        Py_XDECREF(etb);
+        return -1;
+    }
+    PyErr_Restore(etype, evalue, etb);
+    return 0;
+}
+
 /* Mirror of Process._resume.  Returns 0 on success, -1 with an exception
  * set on failure.  Every branch corresponds to a line of the Python
  * implementation in engine.py — keep them in sync. */
@@ -657,13 +679,20 @@ c_resume(PyObject *engine, PyObject *process, PyObject *event)
     gen = PyObject_GetAttr(process, str_generator);
     if (gen == NULL)
         goto reset;
-    interrupts = PyObject_GetAttr(process, str__interrupts);
-    if (interrupts == NULL || !PyList_Check(interrupts))
-        goto reset;
 
     for (;;) {
         /* -- advance the generator ---------------------------------- */
-        if (PyList_GET_SIZE(interrupts) > 0) {
+        /* Re-read every turn: interrupt() creates the list lazily, and
+         * may do so from inside the generator. */
+        Py_XSETREF(interrupts, PyObject_GetAttr(process, str__interrupts));
+        if (interrupts == NULL)
+            goto reset;
+        if (interrupts != Py_None && !PyList_Check(interrupts)) {
+            PyErr_SetString(PyExc_TypeError,
+                            "Process._interrupts must be a list or None");
+            goto reset;
+        }
+        if (interrupts != Py_None && PyList_GET_SIZE(interrupts) > 0) {
             PyObject *intr = PyList_GetItem(interrupts, 0); /* borrowed */
             Py_XINCREF(intr);
             if (intr == NULL || PySequence_DelItem(interrupts, 0) < 0) {
@@ -699,6 +728,10 @@ c_resume(PyObject *engine, PyObject *process, PyObject *event)
 
         if (next == NULL) {
             /* -- generator finished or raised ------------------------ */
+            if (!PyErr_ExceptionMatches(PyExc_KeyboardInterrupt) &&
+                !PyErr_ExceptionMatches(PyExc_SystemExit) &&
+                drop_self_refs(process) < 0)
+                goto reset;
             if (PyErr_ExceptionMatches(PyExc_StopIteration)) {
                 PyObject *etype, *evalue, *etb, *stopval, *r;
                 PyErr_Fetch(&etype, &evalue, &etb);

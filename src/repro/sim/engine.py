@@ -138,22 +138,6 @@ class Event:
         self.engine._queue.pushnow(priority, self)
         return self
 
-    def _trigger(self, ok: bool, value: Any, priority: int) -> None:
-        # Kept for subclass/test use; succeed()/fail() inline this.
-        if self._scheduled:
-            raise SimulationError(f"{self!r} already triggered")
-        self._ok = ok
-        self._value = value
-        self._scheduled = True
-        self.engine._queue.pushnow(priority, self)
-
-    def _run_callbacks(self) -> None:
-        callbacks, self.callbacks = self.callbacks, None
-        if callbacks is None:
-            raise SimulationError(f"{self!r} dispatched twice")
-        for cb in callbacks:
-            cb(self)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "processed" if self.processed else ("triggered" if self._scheduled else "pending")
         return f"<{type(self).__name__} {state} at {hex(id(self))}>"
@@ -165,7 +149,7 @@ class Timeout(Event):
     Fast path: a Timeout is *born scheduled* — its outcome is decided at
     creation, so the constructor sets the event state directly and pushes
     the heap entry itself instead of going through
-    ``Event.__init__`` + ``_trigger`` (three frames saved per event on the
+    ``Event.__init__`` + ``succeed`` (frames saved per event on the
     kernel's single hottest allocation site).
     """
 
@@ -298,6 +282,12 @@ class Process(Event):
     A process is itself an :class:`Event` that fires (with the generator's
     return value) when the generator finishes, so processes can wait on each
     other simply by yielding the other process.
+
+    Ownership: a finished process holds no reference to itself.  The bound
+    ``_resume_cb`` (process -> method -> process) and the ``_target`` it
+    waited on are dropped where the generator ends, so reference counting
+    frees the process as soon as its last waiter lets go; the interrupt
+    queue is only allocated by :meth:`interrupt`.
     """
 
     __slots__ = ("generator", "name", "_target", "_interrupts", "_defused",
@@ -309,7 +299,8 @@ class Process(Event):
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self._target: Optional[Event] = None
-        self._interrupts: List[Interrupt] = []
+        #: Created by the first interrupt(); None for almost every process.
+        self._interrupts: Optional[List[Interrupt]] = None
         self._defused = False
         #: The bound resume method, created once.  Every subscription uses
         #: this same object: no bound-method allocation per wake-up, and the
@@ -329,6 +320,8 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at the current time."""
         if self._scheduled:
             raise SimulationError(f"cannot interrupt finished process {self.name}")
+        if self._interrupts is None:
+            self._interrupts = []
         self._interrupts.append(Interrupt(cause))
         # Detach from the current target and resume immediately.
         target, self._target = self._target, None
@@ -343,16 +336,18 @@ class Process(Event):
 
     def _resume(self, event: Event) -> None:
         # The kernel's hottest frame: runs once per process wake-up.  The
-        # generator, interrupt queue and engine are pinned in locals; the
-        # "already fired" shortcut reads ``callbacks is None`` directly
-        # instead of the ``processed`` property.
+        # generator and engine are pinned in locals; the interrupt queue is
+        # re-read each turn (interrupt() creates it lazily, possibly from
+        # inside the generator); the "already fired" shortcut reads
+        # ``callbacks is None`` directly instead of the ``processed``
+        # property.
         engine = self.engine
         engine._active_process = self
         generator = self.generator
-        interrupts = self._interrupts
         try:
             while True:
                 try:
+                    interrupts = self._interrupts
                     if interrupts:
                         next_event = generator.throw(interrupts.pop(0))
                     elif event._ok:
@@ -360,6 +355,7 @@ class Process(Event):
                     else:
                         next_event = generator.throw(event._value)
                 except StopIteration as stop:
+                    self._resume_cb = self._target = None
                     self.succeed(stop.value)
                     return
                 except BaseException as exc:
@@ -367,7 +363,11 @@ class Process(Event):
                         raise
                     # Unhandled in-process exception: fail the process event;
                     # if nobody is watching, escalate at dispatch time.
+                    self._resume_cb = self._target = None
                     self.fail(exc)
+                    # exc's traceback keeps this frame alive: drop the
+                    # locals that would otherwise close a cycle through it.
+                    del self, event
                     return
                 try:
                     cbs = next_event.callbacks
@@ -427,16 +427,6 @@ class Engine:
         return self._queue.now
 
     @property
-    def _now(self) -> float:
-        # Kept as an alias: pre-PR-3 kernel code and tests read engine._now;
-        # the queue owns the clock now so dispatch never boxes it.
-        return self._queue.now
-
-    @_now.setter
-    def _now(self, value: float) -> None:
-        self._queue.now = value
-
-    @property
     def active_process(self) -> Optional[Process]:
         return self._active_process
 
@@ -464,9 +454,6 @@ class Engine:
         return AllOf(self, events)
 
     # -- scheduling -----------------------------------------------------------
-
-    def _schedule(self, event: Event, delay: float, priority: int) -> None:
-        self._queue.pushdelay(delay, priority, event)
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if the queue is empty."""
@@ -515,11 +502,12 @@ class Engine:
 
         Returns the simulation time when the run stopped.
         """
-        if until is not None and until < self._now:
-            raise ValueError(f"until={until} is in the past (now={self._now})")
+        if until is not None and until < self._queue.now:
+            raise ValueError(
+                f"until={until} is in the past (now={self._queue.now})")
         obs = self.obs
         if obs.enabled:
-            span = obs.spans.begin("engine", "run", self._now, "engine")
+            span = obs.spans.begin("engine", "run", self._queue.now, "engine")
             try:
                 return self._run_inner(until)
             finally:
@@ -536,11 +524,11 @@ class Engine:
             peektime = queue.peektime
             while queue:
                 if until is not None and peektime() > until:
-                    self._now = until
+                    queue.now = until
                     return until
                 when, prio, seq, event = queue.pop()
                 dispatch(when, prio, seq, event)
-            return self._now
+            return queue.now
         # Fast path: hand the whole pop/dispatch/callback loop to _drain
         # (the C dispatch loop when the extension is loaded, the Python
         # mirror below otherwise).  clamp=True pins the clock to `until`
@@ -577,7 +565,7 @@ class Engine:
         obs = self.obs
         span = None
         if obs.enabled:
-            span = obs.spans.begin("engine", "run", self._now, "engine")
+            span = obs.spans.begin("engine", "run", self._queue.now, "engine")
         try:
             self._run_until_complete_inner(proc, queue, max_time)
         finally:

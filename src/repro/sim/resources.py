@@ -21,7 +21,9 @@ __all__ = ["Resource", "Request", "Store", "Container"]
 
 
 class Request(Event):
-    """A pending claim on a :class:`Resource`; fires when granted.
+    """A pending claim on a :class:`Resource`; fires (with ``None``) when
+    granted.  It never stores itself as its own value, so a released claim
+    is freed by reference counting.
 
     Use as a context manager inside a process::
 
@@ -68,7 +70,7 @@ class Resource:
         req = Request(self)
         if len(self._users) < self.capacity:
             self._users.append(req)
-            req.succeed(req)
+            req.succeed()
         else:
             self._waiting.append(req)
         return req
@@ -87,7 +89,7 @@ class Resource:
         while self._waiting and len(self._users) < self.capacity:
             nxt = self._waiting.popleft()
             self._users.append(nxt)
-            nxt.succeed(nxt)
+            nxt.succeed()
 
     def acquire(self) -> Generator[Event, Any, Request]:
         """Process helper: ``req = yield from resource.acquire()``.

@@ -92,3 +92,25 @@ class TestRealCampaign:
         assert len(result.finding_times()) == 7      # part1 + 6
         assert all(f > 0 for f in result.finding_times())
         assert max(result.latencies()) >= min(result.latencies())
+
+
+def test_result_tarballs_are_reproducible(tmp_path):
+    """Two REAL zooms at one seed write byte-identical result tarballs.
+
+    The campaigns run seconds apart, so any wall-clock mtime left in the
+    gzip header or a tar member shows up as a byte difference -- and, since
+    the tarball's size drives the simulated result transfer, as a
+    different ``completed_at``.
+    """
+    runs = []
+    for name in ("first", "second"):
+        workdir = tmp_path / name
+        result = run_campaign(CampaignConfig(
+            n_sub_simulations=1, resolution=32, boxsize_mpc_h=50,
+            n_zoom_levels=1, mode=ExecutionMode.REAL, workdir=str(workdir),
+            real_n_steps=10, real_a_end=0.8, seed=13))
+        (job_dir,) = sorted(workdir.glob("zoom2-*"))
+        runs.append(((job_dir / "results.tar.gz").read_bytes(),
+                     [t.completed_at for t in result.part2_traces]))
+    assert runs[0][0] == runs[1][0]
+    assert runs[0][1] == runs[1][1]

@@ -37,6 +37,19 @@ class TestParser:
         assert args.churn == 0
         assert args.jobs == 2
 
+    def test_survey_points_shape(self):
+        args = build_parser().parse_args(["survey", "--points", "4x2"])
+        assert args.points == (4, 2)
+        assert build_parser().parse_args(["survey"]).points == (3, 3)
+
+    @pytest.mark.parametrize("points", ["4", "0x3", "ax3", "3x-1", "2x3x4"])
+    def test_bad_survey_points_rejected(self, points, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["survey", "--points", points])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --points" in err and "NxM" in err
+
 
 class TestMain:
     def test_list(self, capsys):
