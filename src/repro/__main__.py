@@ -81,7 +81,7 @@ _EXPERIMENTS: Dict[str, Tuple[str, Callable[..., Any], Callable[[Any], str]]] = 
     "load": ("E13: federated load sweep (multi-MA, open-loop traffic, "
              "SeD churn; pull vs push)",
              lambda args: load_federation.run(
-                 loads=tuple(float(x) for x in args.loads.split(",")),
+                 loads=args.loads,
                  duration=args.duration, n_clients=args.clients,
                  n_grids=args.grids,
                  clusters_per_grid=args.clusters_per_grid,
@@ -233,6 +233,26 @@ def _grid_shape(text: str) -> Tuple[int, int]:
         f"expected NxM with positive integers, got {text!r}")
 
 
+def _positive_int(text: str) -> int:
+    """``--n-sub`` value: a positive integer."""
+    if text.isdecimal() and int(text) > 0:
+        return int(text)
+    raise argparse.ArgumentTypeError(
+        f"expected a positive integer, got {text!r}")
+
+
+def _positive_floats(text: str) -> Tuple[float, ...]:
+    """``--loads`` value: comma-separated positive finite numbers."""
+    try:
+        values = tuple(float(x) for x in text.split(","))
+    except ValueError:
+        values = ()
+    if values and all(0 < v < float("inf") for v in values):
+        return values
+    raise argparse.ArgumentTypeError(
+        f"expected comma-separated positive numbers, got {text!r}")
+
+
 def _add_obs_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trace", metavar="PATH", default=None,
                    help="write the span store as Chrome-trace/Perfetto JSON")
@@ -259,10 +279,11 @@ def build_parser() -> argparse.ArgumentParser:
                 help="worker processes for the sweep (default: serial; "
                      "0 = one per CPU core)")
         if name == "data-locality":
-            p.add_argument("--n-sub", type=int, default=100,
+            p.add_argument("--n-sub", type=_positive_int, default=100,
                            help="zoom sub-simulations per arm (default 100)")
         if name == "load":
-            p.add_argument("--loads", default="2,4,8,16",
+            p.add_argument("--loads", type=_positive_floats,
+                           default="2,4,8,16",
                            help="comma-separated offered loads in requests/s "
                                 "(default 2,4,8,16)")
             p.add_argument("--duration", type=float, default=60.0,
@@ -325,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     campaign = sub.add_parser("campaign",
                               help="run a custom campaign configuration")
-    campaign.add_argument("--n-sub", type=int, default=100,
+    campaign.add_argument("--n-sub", type=_positive_int, default=100,
                           help="number of zoom sub-simulations (default 100)")
     campaign.add_argument("--policy", default="default",
                           choices=["default", "mct", "min-queue", "fastest"],

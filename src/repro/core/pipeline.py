@@ -402,7 +402,7 @@ class TracingInterceptor(Interceptor):
     When the shared tracer carries an enabled
     :class:`~repro.obs.Observability`, the same call sites also emit the
     request-track **spans** (``request`` → ``finding`` / ``transfer`` /
-    ``queue``) the exporters and figure queries consume — begun and closed
+    ``queue``) the exporters and the profiler consume — begun and closed
     with the *same* ``engine.now`` reads that stamp the trace fields, and
     unwound with status ``"error"`` when a submit/solve RPC completes with
     an error reply (the dead-letter path), so failures never leak open

@@ -170,11 +170,6 @@ class SeD:
         """Cluster this SeD's host belongs to (metric/span label)."""
         return str(self.host.properties.get("cluster", self.host.name))
 
-    @property
-    def data_store(self):
-        """The data manager's store (kept for the legacy attribute name)."""
-        return self.data_manager.store
-
     # -- crash / restart (failure model) -------------------------------------------
 
     @property

@@ -10,6 +10,9 @@ paper plots —
   (data transfer + queue wait + service initiation);
 * the **Gantt chart** (Figure 4 left): per-SeD (start, end) solve spans;
 * per-SeD **busy time** and request counts (Figure 4 right).
+
+These records are the only source the figures are derived from; the span
+store (:mod:`repro.obs`) feeds the trace exporters and the profiler.
 """
 
 from __future__ import annotations
@@ -88,23 +91,6 @@ class RequestTrace:
             return None
         return self.completed_at - self.submitted_at
 
-    @property
-    def overhead(self) -> Optional[float]:
-        """Middleware overhead: total minus pure solve and queue-wait time.
-
-        The paper counts finding time + service initiation (it excludes the
-        inter-simulation wait, which is workload, not middleware)."""
-        if self.finding_time is None:
-            return None
-        if self.initiation_time is not None:
-            # Queue wait measured exactly at the SeD: exclude it.
-            return self.finding_time + self.initiation_time
-        if self.solve_duration is None:
-            return None
-        if self.completed_at is None or self.data_sent_at is None:
-            return None
-        return self.finding_time + (self.solve_started_at - self.data_sent_at)
-
 
 class Tracer:
     """Collects :class:`RequestTrace` records plus free-form middleware events."""
@@ -157,28 +143,27 @@ class Tracer:
         return [t.latency for t in self.all_traces(service)
                 if t.latency is not None]
 
-    def initiation_times(self, service: Optional[str] = None) -> List[float]:
-        return [t.initiation_time for t in self.all_traces(service)
-                if t.initiation_time is not None]
-
-    def queue_waits(self, service: Optional[str] = None) -> List[float]:
-        return [t.queue_wait for t in self.all_traces(service)
-                if t.queue_wait is not None]
-
     def gantt(self, service: Optional[str] = None) -> Dict[str, List[tuple]]:
-        """Per-SeD list of (start, end, request_id) solve spans, sorted."""
+        """Per-SeD ``(start, end, request_id)`` solve rows, sorted by
+        ``(start, request_id)``.  A solve that started but never ended (its
+        SeD crashed) keeps ``end=None``: its start is a real stamp."""
         chart: Dict[str, List[tuple]] = {}
         for t in self.all_traces(service):
-            if t.sed_name and t.solve_started_at is not None and t.solve_ended_at is not None:
+            if t.sed_name and t.solve_started_at is not None:
                 chart.setdefault(t.sed_name, []).append(
                     (t.solve_started_at, t.solve_ended_at, t.request_id))
-        for spans in chart.values():
-            spans.sort()
+        for rows in chart.values():
+            rows.sort(key=lambda r: (r[0], r[2]))
         return chart
 
     def busy_time_per_sed(self, service: Optional[str] = None) -> Dict[str, float]:
-        return {sed: sum(end - start for start, end, _ in spans)
-                for sed, spans in self.gantt(service).items()}
+        """Summed duration of finished solves per SeD, in :meth:`all_traces`
+        order (so the float totals do not depend on how rows are charted)."""
+        busy: Dict[str, float] = {}
+        for t in self.all_traces(service):
+            if t.sed_name and t.solve_duration is not None:
+                busy[t.sed_name] = busy.get(t.sed_name, 0.0) + t.solve_duration
+        return busy
 
     def requests_per_sed(self, service: Optional[str] = None) -> Dict[str, int]:
         counts: Dict[str, int] = {}

@@ -34,25 +34,29 @@ def ascii_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str
 
 
 def ascii_gantt(chart: Dict[str, List[tuple]], width: int = 72) -> str:
-    """Text Gantt chart: one row per SeD, '#' spans busy periods."""
+    """Text Gantt chart: one row per SeD, '#' spans busy periods, '|' marks
+    each job start.  A job that never ended (``end=None``: its SeD crashed
+    mid-solve) is drawn as its start mark only."""
     if not chart:
         return "(empty)"
-    t_min = min(s for spans in chart.values() for s, _e, _r in spans)
-    t_max = max(e for spans in chart.values() for _s, e, _r in spans)
+    rows = [r for spans in chart.values() for r in spans]
+    t_min = min(s for s, _e, _r in rows)
+    t_max = max(s if e is None else e for s, e, _r in rows)
     span = max(t_max - t_min, 1e-9)
+
+    def col(t: float) -> int:
+        return int((t - t_min) / span * (width - 1))
+
     name_w = max(len(name) for name in chart)
     lines = []
     for name in sorted(chart):
         row = [" "] * width
         for start, end, _rid in chart[name]:
-            i0 = int((start - t_min) / span * (width - 1))
-            i1 = max(int((end - t_min) / span * (width - 1)), i0)
-            for i in range(i0, i1 + 1):
-                row[i] = "#" if row[i] == " " else "#"
-        # mark job boundaries
+            if end is not None:
+                for i in range(col(start), col(end) + 1):
+                    row[i] = "#"
         for start, _end, _rid in chart[name]:
-            i0 = int((start - t_min) / span * (width - 1))
-            row[i0] = "|"
+            row[col(start)] = "|"
         lines.append(f"{name.ljust(name_w)} {''.join(row)}")
     lines.append(f"{''.ljust(name_w)} 0{'h'.rjust(width - 8)}"
                  f"{(t_max - t_min) / 3600:6.1f}h")

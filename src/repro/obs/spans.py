@@ -304,9 +304,9 @@ class SpanStore:
     ) -> Dict[str, List[Tuple[float, Optional[float], Any]]]:
         """Per-group ``(start, end, request_id)`` rows for a timeline chart.
 
-        Matches the shape :meth:`CampaignResult.gantt` always had: spans
-        that did not close normally contribute ``(start, None, rid)`` —
-        their start is a real stamp, their end is not.
+        The same row shape as :meth:`Tracer.gantt`, for the SVG exporter:
+        spans that did not close normally contribute ``(start, None, rid)``
+        — their start is a real stamp, their end is not.
         """
         chart: Dict[str, List[Tuple[float, Optional[float], Any]]] = {}
         for span in self.find(category=category, **filters):

@@ -48,10 +48,6 @@ def cic_weights(x: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
     return i0, frac
 
 
-# Backwards-compatible private alias (pre-compiled-kernels name).
-_cic_weights = cic_weights
-
-
 def _deposit_py(i0: np.ndarray, frac: np.ndarray, mass: np.ndarray,
                 n: int) -> np.ndarray:
     """Pure-numpy scatter: one flattened bincount over all 8 corners.

@@ -259,11 +259,10 @@ class CampaignResult:
 
     # -- figure series --------------------------------------------------------------------
     #
-    # Primary source: the span store (requests leave finding/init/solve
-    # spans stamped with the *same* ``engine.now`` reads as the trace
-    # fields, so the two derivations agree to the bit — an equality test
-    # pins this).  Campaigns run with ``observe=False`` fall back to the
-    # original trace-buffer derivation.
+    # Every series is read from the RequestTrace buffer through the
+    # Tracer's accessors — the one record LogCentral-style figures come
+    # from.  Spans (``observe=True``) feed the exporters and the profiler
+    # only.
 
     _ZOOM2 = "ramsesZoom2"
 
@@ -279,114 +278,32 @@ class CampaignResult:
             return obs.spans
         return None
 
-    def _finding_spans(self, store: SpanStore):
-        """Finding spans of the evaluation's requests, in submission order:
-        every part-2 attempt that got a SeD, plus the completed part-1 run."""
-        part1_rid = self.part1_trace.request_id
-        for span in store.find(name="finding", status="ok"):
-            if (span.attrs.get("service") == self._ZOOM2
-                    or span.attrs.get("request_id") == part1_rid):
-                yield span
-
     def finding_times(self) -> List[float]:
-        store = self.span_store()
-        if store is not None:
-            return [s.duration for s in self._finding_spans(store)]
-        out = []
-        for t in [self.part1_trace] + self.part2_traces:
-            if t.finding_time is not None:
-                out.append(t.finding_time)
-        return out
+        """Part 1's completed run, then every part-2 attempt that got a SeD."""
+        return [t.finding_time for t in [self.part1_trace] + self.part2_traces
+                if t.finding_time is not None]
 
     def latencies(self) -> List[float]:
-        store = self.span_store()
-        if store is not None:
-            solve_start = {s.attrs.get("request_id"): s.start
-                           for s in store.find(name="solve",
-                                               service=self._ZOOM2)}
-            out = []
-            for f in store.find(name="finding", status="ok",
-                                service=self._ZOOM2):
-                start = solve_start.get(f.attrs.get("request_id"))
-                if start is not None:
-                    out.append(start - f.end)
-            return out
-        return [t.latency for t in self.part2_traces if t.latency is not None]
+        return self.tracer.latencies(self._ZOOM2)
 
     def requests_per_sed(self) -> Dict[str, int]:
-        store = self.span_store()
-        counts: Dict[str, int] = {}
-        if store is not None:
-            for f in store.find(name="finding", status="ok",
-                                service=self._ZOOM2):
-                sed = f.attrs.get("sed")
-                if sed:
-                    counts[sed] = counts.get(sed, 0) + 1
-            return counts
-        for t in self.part2_traces:
-            if t.sed_name:
-                counts[t.sed_name] = counts.get(t.sed_name, 0) + 1
-        return counts
+        return self.tracer.requests_per_sed(self._ZOOM2)
 
     def busy_time_per_sed(self) -> Dict[str, float]:
-        busy: Dict[str, float] = {}
-        store = self.span_store()
-        if store is not None:
-            # Accumulate in request-id order — the same order the trace
-            # derivation sums in, so the floating-point totals are
-            # bit-identical, not merely close.
-            entries = sorted(
-                (s.attrs.get("request_id"), s.attrs.get("sed"), s.duration)
-                for s in store.find(name="solve", status="ok",
-                                    service=self._ZOOM2))
-            for _rid, sed, duration in entries:
-                if sed:
-                    busy[sed] = busy.get(sed, 0.0) + duration
-            return busy
-        for t in self.part2_traces:
-            if t.sed_name and t.solve_duration is not None:
-                busy[t.sed_name] = busy.get(t.sed_name, 0.0) + t.solve_duration
-        return busy
+        return self.tracer.busy_time_per_sed(self._ZOOM2)
 
-    def gantt(self) -> Dict[str, List[Tuple[float, float, int]]]:
-        store = self.span_store()
-        if store is not None:
-            return store.gantt(category="solve", group_by="sed",
-                               service=self._ZOOM2)
-        chart: Dict[str, List[Tuple[float, float, int]]] = {}
-        for t in self.part2_traces:
-            if t.sed_name and t.solve_started_at is not None:
-                chart.setdefault(t.sed_name, []).append(
-                    (t.solve_started_at, t.solve_ended_at, t.request_id))
-        for spans in chart.values():
-            spans.sort()
-        return chart
+    def gantt(self) -> Dict[str, List[Tuple[float, Optional[float], int]]]:
+        return self.tracer.gantt(self._ZOOM2)
 
     @property
     def overhead_per_request(self) -> List[float]:
         """Finding time + service initiation, §5.2's ~70.6 ms figure.
 
-        Span-store derivation: the finding span's duration plus the init
-        span's (the SeD's job-slot-grant → solve-start interval, queue wait
-        excluded, as the paper does); attempts whose initiation never
-        finished fall back to the configured ``service_init_time`` — the
-        same semantics the trace fields encode.
+        Initiation is the SeD's job-slot-grant → solve-start interval (queue
+        wait excluded, as the paper does); attempts whose initiation never
+        finished count the configured ``service_init_time``.
         """
         default_init = self.deployment.seds[0].params.service_init_time
-        store = self.span_store()
-        if store is not None:
-            init_by_rid = {s.attrs.get("request_id"): s
-                           for s in store.find(name="init",
-                                               service=self._ZOOM2)}
-            out = []
-            for f in store.find(name="finding", status="ok",
-                                service=self._ZOOM2):
-                init_span = init_by_rid.get(f.attrs.get("request_id"))
-                init = (init_span.duration
-                        if init_span is not None and init_span.ok
-                        else default_init)
-                out.append(f.duration + init)
-            return out
         out = []
         for t in self.part2_traces:
             if t.finding_time is None:

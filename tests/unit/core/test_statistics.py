@@ -58,8 +58,14 @@ class TestTracer:
             rec.submitted_at = 0.0
             rec.solve_started_at = float(s)
             rec.solve_ended_at = float(e)
+        # A solve that started but never ended (its SeD crashed).
+        rec = tracer.trace(4, "svc")
+        rec.sed_name = "y"
+        rec.submitted_at = 0.0
+        rec.solve_started_at = 7.0
         gantt = tracer.gantt()
         assert [span[:2] for span in gantt["x"]] == [(0.0, 10.0), (10.0, 15.0)]
+        assert gantt["y"] == [(0.0, 7.0, 3), (7.0, None, 4)]
         busy = tracer.busy_time_per_sed()
         assert busy == {"x": 15.0, "y": 7.0}
 

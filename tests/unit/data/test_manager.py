@@ -61,7 +61,7 @@ class TestCatalogWiring:
         h1 = put(sed, "d1", value, 512)
         h2 = put(sed, "d2", value.copy(), 512)
         assert h2.data_id == h1.data_id  # aliased, not re-stored
-        assert len(sed.data_store) == 1
+        assert len(sed.data_manager.store) == 1
         assert dep.data_grid.stats.dedup == 1
 
     def test_crash_unregisters_store_but_not_checkpoints(self):

@@ -36,6 +36,18 @@ class TestFormatting:
         assert "#" in lines[0] and "|" in lines[0]
         assert "2.0h" in lines[-1]
 
+    def test_ascii_gantt_unfinished_solve(self):
+        """A solve killed by a SeD crash is a ``(start, None, rid)`` row,
+        drawn as its start mark only."""
+        chart = {
+            "sed-a": [(0.0, 2000.0, 1), (2000.0, None, 2)],
+            "sed-b": [(0.0, 1000.0, 3), (4000.0, None, 4)],
+        }
+        lines = ascii_gantt(chart, width=41).splitlines()
+        assert lines[0] == "sed-a |" + "#" * 19 + "|" + " " * 20
+        assert lines[1] == "sed-b |" + "#" * 10 + " " * 29 + "|"
+        assert lines[-1].endswith("1.1h")
+
     def test_ascii_gantt_empty(self):
         assert ascii_gantt({}) == "(empty)"
 

@@ -1,16 +1,19 @@
 """Observability wired through a real campaign.
 
-The contract the tentpole rests on: figure-level numbers derived from the
-span store are bit-identical to the trace-derived ones, failure paths never
+The contract: recording spans never perturbs a figure (every series is
+read from the request trace, with or without spans), failure paths never
 leak open spans, and span stores survive detach/pickle so parallel sweeps
 can aggregate them.
 """
 
+import dataclasses
 import pickle
 
 import pytest
 
 from repro.__main__ import main
+from repro.experiments.figure5 import Figure5Result
+from repro.experiments.overhead import OverheadResult
 from repro.experiments.runner import collect_span_stores
 from repro.obs import NULL_OBS
 from repro.services import CampaignConfig, FailurePlan, run_campaign
@@ -26,13 +29,36 @@ def blind():
     return run_campaign(CampaignConfig(n_sub_simulations=8, observe=False))
 
 
+def _figure_series(result):
+    return (
+        result.finding_times(),
+        result.latencies(),
+        result.requests_per_sed(),
+        result.busy_time_per_sed(),
+        result.gantt(),
+        list(result.overhead_per_request),
+        Figure5Result(result).first_wave_latency_ms,
+        OverheadResult(result).init_time_ms,
+    )
+
+
 def test_figures_identical_with_and_without_spans(observed, blind):
-    assert observed.finding_times() == blind.finding_times()
-    assert observed.latencies() == blind.latencies()
-    assert observed.requests_per_sed() == blind.requests_per_sed()
-    assert observed.busy_time_per_sed() == blind.busy_time_per_sed()
-    assert observed.gantt() == blind.gantt()
-    assert list(observed.overhead_per_request) == list(blind.overhead_per_request)
+    degraded = CampaignConfig(n_sub_simulations=30, failures=FailurePlan(n_crashes=2))
+    pairs = {
+        "healthy": (observed, blind),
+        "degraded": tuple(
+            run_campaign(dataclasses.replace(degraded, observe=observe))
+            for observe in (True, False)
+        ),
+    }
+    # The crash path is exercised: killed solves chart as open rows.
+    assert any(
+        end is None
+        for rows in pairs["degraded"][1].gantt().values()
+        for _start, end, _rid in rows
+    )
+    for label, (on, off) in pairs.items():
+        assert _figure_series(on) == _figure_series(off), label
 
 
 def test_span_store_present_only_when_observing(observed, blind):

@@ -30,7 +30,8 @@ class TestParser:
             ["load", "--loads", "1,5", "--duration", "10", "--clients",
              "200", "--grids", "3", "--churn", "0", "--jobs", "2"])
         assert args.command == "load"
-        assert args.loads == "1,5"
+        assert args.loads == (1.0, 5.0)
+        assert build_parser().parse_args(["load"]).loads == (2, 4, 8, 16)
         assert args.duration == 10.0
         assert args.clients == 200
         assert args.grids == 3
@@ -49,6 +50,26 @@ class TestParser:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "argument --points" in err and "NxM" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["campaign", "--n-sub", "-3"],
+        ["campaign", "--n-sub", "0"],
+        ["campaign", "--n-sub", "2.5"],
+        ["data-locality", "--n-sub", "-1"],
+        ["load", "--loads", "abc"],
+        ["load", "--loads", "0"],
+        ["load", "--loads", "2,-4"],
+        ["load", "--loads", "2,,4"],
+        ["load", "--loads", "inf"],
+    ], ids=lambda argv: f"{argv[0]}{argv[1]}={argv[2]}")
+    def test_bad_numeric_input_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        hint = ("positive integer" if argv[1] == "--n-sub"
+                else "positive numbers")
+        assert f"argument {argv[1]}" in err and hint in err
 
 
 class TestMain:
