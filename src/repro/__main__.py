@@ -22,65 +22,55 @@ from __future__ import annotations
 
 import argparse
 import sys
+from importlib import import_module
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .experiments import (
-    ablation_scheduler,
-    data_locality,
-    degraded_campaign,
-    figure1_architecture,
-    figure2_density,
-    figure3_zoom,
-    figure4,
-    figure5,
-    load_federation,
-    overhead,
-    scaling_nodes,
-    survey_campaign,
-    table_timings,
-)
-
-#: name -> (description, run(args) -> result, render(result) -> str).
-#: Runners take the parsed args namespace; the sweep experiments read
-#: ``args.jobs`` (see ``repro.experiments.runner``), the rest ignore it.
-#: Keeping run and render separate lets :func:`main` hold on to the result
-#: object for the observability exports after printing the report.
-_EXPERIMENTS: Dict[str, Tuple[str, Callable[..., Any], Callable[[Any], str]]] = {
+#: name -> (description, experiment module, run(module, args) -> result,
+#: name of the module's render(result) -> str).  Modules are named, not
+#: imported: only the chosen subcommand's module is loaded.  Runners take
+#: the parsed args namespace; the sweep experiments read ``args.jobs`` (see
+#: ``repro.experiments.runner``), the rest ignore it.  Keeping run and
+#: render separate lets :func:`main` hold on to the result object for the
+#: observability exports after printing the report.
+_EXPERIMENTS: Dict[str, Tuple[str, str, Callable[[Any, Any], Any], str]] = {
     "architecture": ("Figure 1: the deployed DIET hierarchy",
-                     lambda args: figure1_architecture.run(),
-                     figure1_architecture.render),
+                     "figure1_architecture", lambda m, args: m.run(),
+                     "render"),
     "timings": ("E1: §5.2 campaign timings vs the paper",
-                lambda args: table_timings.run(), table_timings.render),
+                "table_timings", lambda m, args: m.run(), "render"),
     "figure4": ("E2/E3: request distribution + per-SeD execution time",
-                lambda args: figure4.run(), figure4.render),
+                "figure4", lambda m, args: m.run(), "render"),
     "figure5": ("E4/E5: finding time + latency",
-                lambda args: figure5.run(), figure5.render),
+                "figure5", lambda m, args: m.run(), "render"),
     "overhead": ("E6: middleware overhead",
-                 lambda args: overhead.run(), overhead.render),
+                 "overhead", lambda m, args: m.run(), "render"),
     "ablation": ("E7: plug-in scheduler ablation",
-                 lambda args: ablation_scheduler.run(jobs=args.jobs),
-                 ablation_scheduler.render),
+                 "ablation_scheduler", lambda m, args: m.run(jobs=args.jobs),
+                 "render"),
     "routing": ("E7b: pull vs push estimate routing at growing widths",
-                lambda args: ablation_scheduler.run_routing(jobs=args.jobs),
-                ablation_scheduler.render_routing),
+                "ablation_scheduler",
+                lambda m, args: m.run_routing(jobs=args.jobs),
+                "render_routing"),
     "figure2": ("E8: projected density through cosmic time (real run)",
-                lambda args: figure2_density.run(), figure2_density.render),
+                "figure2_density", lambda m, args: m.run(), "render"),
     "figure3": ("E9: zoom re-simulation of a halo (real run)",
-                lambda args: figure3_zoom.run(), figure3_zoom.render),
+                "figure3_zoom", lambda m, args: m.run(), "render"),
     "scaling": ("E10: nodes-per-SeD scaling ablation",
-                lambda args: scaling_nodes.run(jobs=args.jobs),
-                scaling_nodes.render),
+                "scaling_nodes", lambda m, args: m.run(jobs=args.jobs),
+                "render"),
     "degraded": ("E11: the campaign under injected SeD failures",
-                 lambda args: degraded_campaign.run(jobs=args.jobs),
-                 degraded_campaign.render),
+                 "degraded_campaign", lambda m, args: m.run(jobs=args.jobs),
+                 "render"),
     "data-locality": ("E12: data-locality ablation "
                       "(volatile vs persistent vs replicated)",
-                      lambda args: data_locality.run(
+                      "data_locality",
+                      lambda m, args: m.run(
                           n_sub_simulations=args.n_sub, jobs=args.jobs),
-                      data_locality.render),
+                      "render"),
     "load": ("E13: federated load sweep (multi-MA, open-loop traffic, "
              "SeD churn; pull vs push)",
-             lambda args: load_federation.run(
+             "load_federation",
+             lambda m, args: m.run(
                  loads=args.loads,
                  duration=args.duration, n_clients=args.clients,
                  n_grids=args.grids,
@@ -89,10 +79,11 @@ _EXPERIMENTS: Dict[str, Tuple[str, Callable[..., Any], Callable[[Any], str]]] = 
                  observe=bool(args.trace or args.gantt_svg or args.profile),
                  zipf=tuple(float(x) for x in args.zipf.split(",")),
                  memo=args.memo),
-             load_federation.render),
+             "render"),
     "survey": ("E14: survey campaign (cosmology-grid DAGs + zoom mix; "
                "scheduler and data-policy ablations)",
-               lambda args: survey_campaign.run(
+               "survey_campaign",
+               lambda m, args: m.run(
                    routings=tuple(args.routings.split(",")),
                    policies=tuple(args.policies.split(",")),
                    data_policies=tuple(args.data_policies.split(",")),
@@ -104,7 +95,7 @@ _EXPERIMENTS: Dict[str, Tuple[str, Callable[..., Any], Callable[[Any], str]]] = 
                    seed=args.seed, jobs=args.jobs,
                    observe=bool(args.trace or args.gantt_svg
                                 or args.profile)),
-               survey_campaign.render),
+               "render"),
 }
 
 #: Experiments that sweep independent runs and accept ``--jobs``.
@@ -271,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     sub.add_parser("list", help="list available experiments")
-    for name, (desc, _, _) in _EXPERIMENTS.items():
+    for name, (desc, *_) in _EXPERIMENTS.items():
         p = sub.add_parser(name, help=desc)
         if name in _PARALLEL:
             p.add_argument(
@@ -374,7 +365,7 @@ def main(argv: Optional[list] = None) -> int:
     if args.command in (None, "list"):
         print("available experiments:")
         width = max(len(n) for n in _EXPERIMENTS) + 2
-        for name, (desc, _, _) in _EXPERIMENTS.items():
+        for name, (desc, *_) in _EXPERIMENTS.items():
             print(f"  {name.ljust(width)} {desc}")
         print(f"  {'campaign'.ljust(width)} custom campaign "
               "(--n-sub, --policy, --seed, --routing, --data-policy, "
@@ -384,12 +375,12 @@ def main(argv: Optional[list] = None) -> int:
         text, result = _run_campaign(args)
         print(text)
     else:
-        _desc, run, render = _EXPERIMENTS[args.command]
-        result = run(args)
-        print(render(result))
-        if getattr(args, "batch_dir", None):
-            for path in survey_campaign.write_batches(result,
-                                                      args.batch_dir):
+        _desc, module, run, render = _EXPERIMENTS[args.command]
+        experiment = import_module(f".experiments.{module}", __package__)
+        result = run(experiment, args)
+        print(getattr(experiment, render)(result))
+        if getattr(args, "batch_dir", None):   # survey only
+            for path in experiment.write_batches(result, args.batch_dir):
                 print(f"batch manifest: {path}")
     for line in _export_observability(args, result):
         print(line)

@@ -300,9 +300,13 @@ class LocalAgent:
         yield self.engine.timeout(self.params.processing_time)
         if not self.children:
             return []
-        procs = [self.engine.process(self._child_estimate(c, req),
-                                     name=f"{self.name}->{c}")
-                 for c in self.children]
+        # A plain loop, not a comprehension: the comprehension would turn
+        # ``self`` and ``req`` into closure cells living as long as the
+        # gather.
+        procs = []
+        for child in self.children:
+            procs.append(self.engine.process(self._child_estimate(child, req),
+                                             name=f"{self.name}->{child}"))
         # Every child RPC carries its own deadline/retry budget (the
         # endpoint's DeadlineInterceptor), so each proc is guaranteed to
         # terminate — no fan-out-level watchdog needed.

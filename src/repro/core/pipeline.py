@@ -32,22 +32,24 @@ A message passes four phases:
 ``complete``
     back in the caller's process, once the RPC reply has arrived.
 
-Interceptor hooks are generator functions so they can charge simulated
-time (``yield engine.timeout(...)``).  Chains are layered like a protocol
-stack: on *outbound* phases (``send``, ``reply``) the local endpoint's
-interceptors run before the fabric-wide ones (application → wire); on
-*inbound* phases (``deliver``, ``complete``) the fabric chain runs first
-(wire → application).
+Interceptor hooks are plain calls.  A hook returns ``None`` when it costs
+no simulated time, or the delay in seconds it charges; the chain runner
+(:meth:`~repro.core.transport.Endpoint.run_chain`) yields
+``engine.timeout(delay)`` exactly where a hook returned one, ``0.0``
+included, so later hooks in the chain see the clock advanced.  Chains are
+layered like a protocol stack: on *outbound* phases (``send``, ``reply``)
+the local endpoint's interceptors run before the fabric-wide ones
+(application → wire); on *inbound* phases (``deliver``, ``complete``) the
+fabric chain runs first (wire → application).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
     Dict,
-    Generator,
     Iterable,
     List,
     Optional,
@@ -55,7 +57,7 @@ from typing import (
     Tuple,
 )
 
-from ..sim.engine import Engine, Event
+from ..sim.engine import Engine
 from .exceptions import ServerNotFoundError
 from .logservice import post_event
 
@@ -95,7 +97,7 @@ class MessageDropped(Exception):
     """
 
 
-@dataclass
+@dataclass(slots=True)
 class MessageContext:
     """The envelope an in-flight message travels in through one phase.
 
@@ -115,8 +117,8 @@ class MessageContext:
     reply_value: Any = None
     #: Retry attempt this message belongs to (0 = first try).
     attempt: int = 0
-    #: Free-form annotations interceptors leave for each other.
-    meta: Dict[str, Any] = field(default_factory=dict)
+    #: Extra copies of the message to deliver (fault-injection duplicates).
+    duplicates: int = 0
 
     @property
     def engine(self) -> Engine:
@@ -168,27 +170,25 @@ class RpcPolicy:
 
 
 class Interceptor:
-    """Base class: every hook is a generator that may charge simulated time.
+    """Base class: every hook is a plain call ``hook(ctx) -> delay``.
 
-    Subclasses override only the phases they care about; the defaults are
-    zero-cost pass-throughs.
+    A hook returns ``None`` when it costs no simulated time, or the delay in
+    seconds to charge before the next hook runs (``0.0`` is still a charge:
+    one zero-delay timeout in the event stream).  Subclasses override only
+    the phases they care about; the defaults are skipped pass-throughs.
     """
 
-    def intercept_send(self, ctx: MessageContext) -> Generator[Event, Any, None]:
-        return
-        yield  # pragma: no cover - generator marker
+    def intercept_send(self, ctx: MessageContext) -> Optional[float]:
+        return None
 
-    def intercept_deliver(self, ctx: MessageContext) -> Generator[Event, Any, None]:
-        return
-        yield  # pragma: no cover - generator marker
+    def intercept_deliver(self, ctx: MessageContext) -> Optional[float]:
+        return None
 
-    def intercept_reply(self, ctx: MessageContext) -> Generator[Event, Any, None]:
-        return
-        yield  # pragma: no cover - generator marker
+    def intercept_reply(self, ctx: MessageContext) -> Optional[float]:
+        return None
 
-    def intercept_complete(self, ctx: MessageContext) -> Generator[Event, Any, None]:
-        return
-        yield  # pragma: no cover - generator marker
+    def intercept_complete(self, ctx: MessageContext) -> Optional[float]:
+        return None
 
     def rpc_policy(self, op: str) -> Optional[RpcPolicy]:
         """Deadline/retry policy this interceptor grants RPCs of ``op``."""
@@ -251,11 +251,6 @@ class InterceptorPipeline:
             self._hooks[phase] = chain
         return chain
 
-    def run(self, phase: str, ctx: MessageContext) -> Generator[Event, Any, None]:
-        """Run this chain's hooks for ``phase``, in installation order."""
-        for hook in self.hooks(phase):
-            yield from hook(ctx)
-
     def rpc_policy(self, op: str) -> Optional[RpcPolicy]:
         """First non-None policy granted for ``op`` (cached per op until
         the chain is mutated — policies are expected to be stable for a
@@ -271,24 +266,6 @@ class InterceptorPipeline:
                 break
         self._policies[op] = policy
         return policy
-
-
-def run_chains(phase: str, endpoint_pipeline: InterceptorPipeline,
-               fabric_pipeline: InterceptorPipeline,
-               ctx: MessageContext) -> Generator[Event, Any, None]:
-    """Run the layered chain for one phase (see module docstring).
-
-    The transport's :meth:`~repro.core.transport.Endpoint.run_chain` is the
-    fast path (combined pre-bound chain per endpoint); this function is the
-    composable equivalent for callers holding two bare pipelines.
-    """
-    ctx.phase = phase
-    if phase in OUTBOUND_PHASES:
-        order = (endpoint_pipeline, fabric_pipeline)
-    else:
-        order = (fabric_pipeline, endpoint_pipeline)
-    for pipeline in order:
-        yield from pipeline.run(phase, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -309,16 +286,13 @@ class MarshallingInterceptor(Interceptor):
     def __init__(self, params: "TransportParams"):
         self.params = params
 
-    def intercept_send(self, ctx: MessageContext) -> Generator[Event, Any, None]:
-        yield ctx.engine.timeout(
-            self.params.marshal_fixed + self.params.marshal_per_byte * ctx.nbytes)
+    def intercept_send(self, ctx: MessageContext) -> float:
+        return self.params.marshal_fixed + self.params.marshal_per_byte * ctx.nbytes
 
-    def intercept_deliver(self, ctx: MessageContext) -> Generator[Event, Any, None]:
-        yield ctx.engine.timeout(self.params.dispatch_fixed)
+    def intercept_deliver(self, ctx: MessageContext) -> float:
+        return self.params.dispatch_fixed
 
-    def intercept_reply(self, ctx: MessageContext) -> Generator[Event, Any, None]:
-        yield ctx.engine.timeout(
-            self.params.marshal_fixed + self.params.marshal_per_byte * ctx.nbytes)
+    intercept_reply = intercept_send
 
 
 class AccountingInterceptor(Interceptor):
@@ -358,20 +332,12 @@ class AccountingInterceptor(Interceptor):
                 by_op[op] = by_op.get(op, 0) + 1
         return self._by_op
 
-    def _count(self, ctx: MessageContext) -> None:
+    def intercept_send(self, ctx: MessageContext) -> None:
         self.messages_sent += 1
         self.bytes_sent += ctx.nbytes
-        self._ops.append(ctx.op)
+        self._ops.append(ctx.message.op)
 
-    def intercept_send(self, ctx: MessageContext) -> Generator[Event, Any, None]:
-        self._count(ctx)
-        return
-        yield  # pragma: no cover - generator marker
-
-    def intercept_reply(self, ctx: MessageContext) -> Generator[Event, Any, None]:
-        self._count(ctx)
-        return
-        yield  # pragma: no cover - generator marker
+    intercept_reply = intercept_send
 
     # -- exceptional outcomes (reported by the transport) -----------------------
 
@@ -426,7 +392,7 @@ class TracingInterceptor(Interceptor):
 
     # -- message-path stamps -------------------------------------------------------
 
-    def intercept_send(self, ctx: MessageContext) -> Generator[Event, Any, None]:
+    def intercept_send(self, ctx: MessageContext) -> None:
         rid = ctx.request_id
         if rid is not None:
             now = ctx.engine.now
@@ -451,10 +417,8 @@ class TracingInterceptor(Interceptor):
                     obs.spans.begin(f"req:{rid}", "transfer", now, "transfer",
                                     request_id=rid, service=ctx.service,
                                     nbytes=ctx.nbytes)
-        return
-        yield  # pragma: no cover - generator marker
 
-    def intercept_deliver(self, ctx: MessageContext) -> Generator[Event, Any, None]:
+    def intercept_deliver(self, ctx: MessageContext) -> None:
         rid = ctx.request_id
         if rid is not None and ctx.op == self.SOLVE_OP:
             now = ctx.engine.now
@@ -471,10 +435,8 @@ class TracingInterceptor(Interceptor):
                             service=ctx.service, sed=ctx.endpoint.name)
             self.tracer.log(now, "data-arrived",
                             sed=ctx.endpoint.name, request_id=rid)
-        return
-        yield  # pragma: no cover - generator marker
 
-    def intercept_complete(self, ctx: MessageContext) -> Generator[Event, Any, None]:
+    def intercept_complete(self, ctx: MessageContext) -> None:
         rid = ctx.request_id
         if rid is None:
             return
@@ -525,8 +487,6 @@ class TracingInterceptor(Interceptor):
                 request = obs.spans.open_span(f"req:{rid}", "request")
                 if request is not None:
                     obs.spans.end(request, now, status_code=trace.status)
-        return
-        yield  # pragma: no cover - generator marker
 
 
 class DeadlineInterceptor(Interceptor):
@@ -607,20 +567,22 @@ class FaultInjectionInterceptor(Interceptor):
     def _chance(self, p: float) -> bool:
         return p > 0 and self.rng is not None and float(self.rng.random()) < p
 
-    def _apply(self, ctx: MessageContext) -> Generator[Event, Any, None]:
+    def _apply(self, ctx: MessageContext) -> Optional[float]:
         if not self._matches(ctx):
-            return
+            return None
         if self._drop_next > 0 or self._chance(self.drop):
             if self._drop_next > 0:
                 self._drop_next -= 1
             self.dropped += 1
             ctx.drop(f"fault injection dropped {ctx.op!r}#{ctx.message.msg_id}")
+        delay = None
         if self.delay > 0 and (self.delay_prob >= 1.0 or self._chance(self.delay_prob)):
             self.delayed += 1
-            yield ctx.engine.timeout(self.delay)
+            delay = self.delay
         if ctx.phase == "send" and self._chance(self.duplicate):
             self.duplicated += 1
-            ctx.meta["duplicates"] = ctx.meta.get("duplicates", 0) + 1
+            ctx.duplicates += 1
+        return delay
 
     intercept_send = _apply
     intercept_deliver = _apply

@@ -73,7 +73,7 @@ class TransportParams:
     control_payload: int = 256
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """One transported message."""
 
@@ -117,10 +117,11 @@ class Endpoint:
         self._chains: Dict[str, tuple] = {}
         self._chains_key: Tuple[int, int] = (-1, -1)
         self._handlers: Dict[str, Callable] = {}
-        #: Requests currently being handled: msg_id -> (message, process).
-        #: :meth:`stop` interrupts these so a crashing server neither strands
-        #: its callers nor keeps computing from beyond the grave.
-        self._inflight: Dict[int, Tuple[Message, Process]] = {}
+        #: Requests currently being handled, by handler process (a
+        #: duplicated request runs one handler per copy).  :meth:`stop`
+        #: interrupts these so a crashing server neither strands its callers
+        #: nor keeps computing from beyond the grave.
+        self._inflight: Dict[Process, Message] = {}
         self._serving = False
         self._closed = False
 
@@ -134,11 +135,10 @@ class Endpoint:
     def chain_hooks(self, phase: str) -> tuple:
         """The combined pre-bound hook chain for ``phase``.
 
-        Layering matches :func:`~repro.core.pipeline.run_chains`: endpoint
-        hooks wrap fabric hooks on outbound phases, the reverse inbound.
-        Cached against both pipelines' versions so per-message work is two
-        dict probes instead of rebuilding the layering and re-fetching every
-        hook.
+        Endpoint hooks wrap fabric hooks on outbound phases, the reverse
+        inbound (see :mod:`repro.core.pipeline`).  Cached against both
+        pipelines' versions so per-message work is two dict probes instead
+        of rebuilding the layering and re-fetching every hook.
         """
         ep, fab = self.pipeline, self.fabric.pipeline
         key = (ep.version, fab.version)
@@ -156,10 +156,17 @@ class Endpoint:
 
     def run_chain(self, phase: str,
                   ctx: MessageContext) -> Generator[Event, Any, None]:
-        """Run the combined chain for one phase of ``ctx`` (fast path)."""
+        """Run the combined chain for one phase of ``ctx``.
+
+        Hooks are plain calls; a hook that returns a delay (``0.0``
+        included) is charged as one timeout before the next hook runs.
+        """
         ctx.phase = phase
+        timeout = self.fabric.engine.timeout
         for hook in self.chain_hooks(phase):
-            yield from hook(ctx)
+            delay = hook(ctx)
+            if delay is not None:
+                yield timeout(delay)
 
     # -- handler registration --------------------------------------------------
 
@@ -194,9 +201,11 @@ class Endpoint:
                 continue
             proc = engine.process(self._handle(handler, msg),
                                   name=f"{self.name}:{msg.op}#{msg.msg_id}")
-            self._inflight[msg.msg_id] = (msg, proc)
+            self._inflight[proc] = msg
 
     def _handle(self, handler: Callable, msg: Message) -> Generator[Event, Any, None]:
+        # Runs first inside its own process: the active process is us.
+        proc = self.fabric.engine.active_process
         ctx = MessageContext(self.fabric, msg, self, msg.nbytes)
         try:
             try:
@@ -232,7 +241,7 @@ class Endpoint:
             self.fabric._dead_letter(
                 msg, f"endpoint {self.name!r} stopped while handling {msg.op!r}")
         finally:
-            self._inflight.pop(msg.msg_id, None)
+            self._inflight.pop(proc, None)
 
     def stop(self) -> None:
         """Stop serving; queued and in-flight requests are dead-lettered.
@@ -253,7 +262,7 @@ class Endpoint:
                 break
             if msg is not _SHUTDOWN:
                 self.fabric._dead_letter(msg, f"endpoint {self.name!r} stopped")
-        for msg, proc in list(self._inflight.values()):
+        for proc, msg in list(self._inflight.items()):
             if proc.is_alive:
                 proc.interrupt(CommunicationError(
                     f"endpoint {self.name!r} stopped"))
@@ -435,13 +444,20 @@ class TransportFabric:
                 f"endpoint {dst_name!r} vanished while {op!r} was in flight")
         msg.delivered_at = self.engine.now
         dst.mailbox.put(msg)
-        for _ in range(ctx.meta.get("duplicates", 0)):
+        for _ in range(ctx.duplicates):
             dst.mailbox.put(msg)
         return msg
 
     def _deliver_reply(self, request: Message, replier: Endpoint, status: str,
                        value: Any, nbytes: int) -> None:
-        """Ship an RPC reply back asynchronously (spawned process).
+        """Ship an RPC reply back asynchronously (spawned process)."""
+        self.engine.process(
+            self._reply_proc(request, replier, status, value, nbytes),
+            name=f"reply:{request.op}#{request.msg_id}")
+
+    def _reply_proc(self, request: Message, replier: Endpoint, status: str,
+                    value: Any, nbytes: int) -> Generator[Event, Any, None]:
+        """The reply leg: ``reply`` chain, then the network back to the caller.
 
         Delivery is at-most-once: a duplicate reply (fault injection, or a
         retry racing a late original) is suppressed with an accounting mark.
@@ -449,35 +465,32 @@ class TransportFabric:
         resumed with :class:`CommunicationError` — never crash the engine on
         a name that no longer resolves.
         """
-        def _reply_proc() -> Generator[Event, Any, None]:
-            reply_to = request.reply_to
-            assert reply_to is not None
-            if reply_to.triggered:
-                self.accounting.note_suppressed_reply()
-                return
-            ctx = MessageContext(self, request, replier, nbytes,
-                                 reply_status=status, reply_value=value)
-            try:
-                yield from replier.run_chain("reply", ctx)
-            except MessageDropped:
-                self.accounting.note_dropped()
-                return
-            caller = self._endpoints.get(request.src)
-            if replier.closed or self._endpoints.get(request.dst) is not replier:
-                self._dead_letter(
-                    request, f"endpoint {request.dst!r} stopped before its "
-                             f"{request.op!r} reply was sent")
-                return
-            if caller is None or caller.closed:
-                self._dead_letter(
-                    request, f"caller {request.src!r} unbound before its "
-                             f"{request.op!r} reply arrived")
-                return
-            yield from self.network.transfer(replier.host_name, caller.host_name,
-                                             ctx.nbytes)
-            if not reply_to.triggered:
-                reply_to.succeed((status, value, ctx.nbytes))
-            else:
-                self.accounting.note_suppressed_reply()
-
-        self.engine.process(_reply_proc(), name=f"reply:{request.op}#{request.msg_id}")
+        reply_to = request.reply_to
+        assert reply_to is not None
+        if reply_to.triggered:
+            self.accounting.note_suppressed_reply()
+            return
+        ctx = MessageContext(self, request, replier, nbytes,
+                             reply_status=status, reply_value=value)
+        try:
+            yield from replier.run_chain("reply", ctx)
+        except MessageDropped:
+            self.accounting.note_dropped()
+            return
+        caller = self._endpoints.get(request.src)
+        if replier.closed or self._endpoints.get(request.dst) is not replier:
+            self._dead_letter(
+                request, f"endpoint {request.dst!r} stopped before its "
+                         f"{request.op!r} reply was sent")
+            return
+        if caller is None or caller.closed:
+            self._dead_letter(
+                request, f"caller {request.src!r} unbound before its "
+                         f"{request.op!r} reply arrived")
+            return
+        yield from self.network.transfer(replier.host_name, caller.host_name,
+                                         ctx.nbytes)
+        if not reply_to.triggered:
+            reply_to.succeed((status, value, ctx.nbytes))
+        else:
+            self.accounting.note_suppressed_reply()

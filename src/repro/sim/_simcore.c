@@ -29,12 +29,14 @@
  *
  * drain(engine, heap, until, clamp, stopproc)
  *   The non-logging dispatch loop: pop, advance the clock, run callbacks.
- *   When an event's single waiter is a Process._resume bound method (the
- *   overwhelmingly common case — registered via ``configure()``), the
- *   resume itself runs in C: interrupt check, generator send/throw,
- *   StopIteration -> succeed, subscribe to the yielded event.  Every
- *   branch mirrors the pure-Python ``Process._resume`` line for line; the
- *   determinism suite pins the equivalence.
+ *   A process is its own resume callback (``Process.__call__`` is
+ *   ``_resume``).  When a waiter's type is exactly Process (the
+ *   overwhelmingly common case — the type is registered via
+ *   ``configure()``), the resume itself runs in C: interrupt check,
+ *   generator send/throw, StopIteration -> succeed, subscribe the process
+ *   to the yielded event.  Every branch mirrors the pure-Python
+ *   ``Process._resume`` line for line; the determinism suite pins the
+ *   equivalence.  Subclasses of Process take the generic call.
  *
  * Built on first import by repro.sim.simcore; that module falls back to a
  * pure-Python implementation when no C toolchain is available, and the
@@ -50,14 +52,13 @@
 /* Module state (set once by configure(); NULL-safe before that)       */
 /* ------------------------------------------------------------------ */
 
-static PyObject *g_resume_func;   /* Process._resume (plain function) */
 static PyObject *g_process_type;  /* Process class */
 static PyObject *g_simerror;      /* SimulationError class */
 
 static PyObject *str_callbacks, *str__ok, *str__value, *str__scheduled,
     *str__defused, *str__active_process, *str_generator, *str__interrupts,
     *str__target, *str_send, *str_throw, *str_succeed, *str_fail,
-    *str__resume_cb, *str__queue, *str_pushdelay, *str_name, *str_pop;
+    *str__queue, *str_pushdelay, *str_name, *str_pop;
 
 /* ------------------------------------------------------------------ */
 /* EventHeap                                                          */
@@ -642,19 +643,14 @@ raise_simerror(const char *fmt, PyObject *obj)
     PyErr_Format(g_simerror ? g_simerror : PyExc_RuntimeError, fmt, obj);
 }
 
-/* A finished process holds no reference to itself: clear the bound
- * resume callback (process -> method -> process) and the last target.
- * The generator's exception stays set across the two stores. */
+/* A finished process lets go of the last event it waited on.  The
+ * generator's exception stays set across the store. */
 static int
 drop_self_refs(PyObject *process)
 {
     PyObject *etype, *evalue, *etb;
-    int rc;
     PyErr_Fetch(&etype, &evalue, &etb);
-    rc = PyObject_SetAttr(process, str__resume_cb, Py_None);
-    if (rc == 0)
-        rc = PyObject_SetAttr(process, str__target, Py_None);
-    if (rc < 0) {
+    if (PyObject_SetAttr(process, str__target, Py_None) < 0) {
         Py_XDECREF(etype);
         Py_XDECREF(evalue);
         Py_XDECREF(etb);
@@ -792,12 +788,7 @@ c_resume(PyObject *engine, PyObject *process, PyObject *event)
                 if (!PyObject_GC_IsTracked(next))
                     PyObject_GC_Track(next);
             }
-            PyObject *cb = PyObject_GetAttr(process, str__resume_cb);
-            if (cb == NULL)
-                goto reset;
-            int rc = PyList_Append(t->callbacks, cb);
-            Py_DECREF(cb);
-            if (rc < 0)
+            if (PyList_Append(t->callbacks, process) < 0)
                 goto reset;
         } else {
             PyObject *cbs = PyObject_GetAttr(next, str_callbacks);
@@ -814,20 +805,14 @@ c_resume(PyObject *engine, PyObject *process, PyObject *event)
                 next = NULL;
                 continue;
             }
-            PyObject *cb = PyObject_GetAttr(process, str__resume_cb);
-            if (cb == NULL) {
-                Py_DECREF(cbs);
-                goto reset;
-            }
             int rc = PyList_Check(cbs)
-                         ? PyList_Append(cbs, cb)
+                         ? PyList_Append(cbs, process)
                          : -2;
             if (rc == -2) {
-                PyObject *r = PyObject_CallMethod(cbs, "append", "O", cb);
+                PyObject *r = PyObject_CallMethod(cbs, "append", "O", process);
                 rc = (r == NULL) ? -1 : 0;
                 Py_XDECREF(r);
             }
-            Py_DECREF(cb);
             Py_DECREF(cbs);
             if (rc < 0)
                 goto reset;
@@ -864,29 +849,31 @@ done:
     return result;
 }
 
+/* Run one callback: a waiter whose type is exactly Process resumes in C,
+ * anything else (subclasses, condition hooks) is called. */
+static int
+run_callback(PyObject *engine, PyObject *cb, PyObject *event)
+{
+    if ((PyObject *)Py_TYPE(cb) == g_process_type)
+        return c_resume(engine, cb, event);
+    PyObject *r = PyObject_CallOneArg(cb, event);
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    return 0;
+}
+
 /* Invoke one dispatched event's callback list (already detached). */
 static int
 run_callbacks(PyObject *engine, PyObject *cbs, PyObject *event)
 {
-    if (PyList_GET_SIZE(cbs) == 1) {
-        PyObject *cb = PyList_GET_ITEM(cbs, 0); /* borrowed; cbs keeps it */
-        if (g_resume_func != NULL && PyMethod_Check(cb) &&
-            PyMethod_GET_FUNCTION(cb) == g_resume_func)
-            return c_resume(engine, PyMethod_GET_SELF(cb), event);
-        PyObject *r = PyObject_CallOneArg(cb, event);
-        if (r == NULL)
-            return -1;
-        Py_DECREF(r);
-        return 0;
-    }
     for (Py_ssize_t i = 0; i < PyList_GET_SIZE(cbs); i++) {
         PyObject *cb = PyList_GET_ITEM(cbs, i);
         Py_INCREF(cb);
-        PyObject *r = PyObject_CallOneArg(cb, event);
+        int rc = run_callback(engine, cb, event);
         Py_DECREF(cb);
-        if (r == NULL)
+        if (rc < 0)
             return -1;
-        Py_DECREF(r);
     }
     return 0;
 }
@@ -1080,10 +1067,9 @@ simcore_drain(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
 static PyObject *
 simcore_configure(PyObject *mod, PyObject *args)
 {
-    PyObject *resume, *process, *simerror;
-    if (!PyArg_ParseTuple(args, "OOO", &resume, &process, &simerror))
+    PyObject *process, *simerror;
+    if (!PyArg_ParseTuple(args, "OO", &process, &simerror))
         return NULL;
-    Py_XSETREF(g_resume_func, Py_NewRef(resume));
     Py_XSETREF(g_process_type, Py_NewRef(process));
     Py_XSETREF(g_simerror, Py_NewRef(simerror));
     Py_RETURN_NONE;
@@ -1093,7 +1079,7 @@ static PyMethodDef simcore_methods[] = {
     {"drain", (PyCFunction)(void (*)(void))simcore_drain, METH_FASTCALL,
      "drain(engine, heap, until, clamp, stopproc) -> int stop code"},
     {"configure", simcore_configure, METH_VARARGS,
-     "configure(resume_func, process_type, simerror_type)"},
+     "configure(process_type, simerror_type)"},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1127,7 +1113,6 @@ PyInit__simcore(void)
     INTERN(str_throw, "throw");
     INTERN(str_succeed, "succeed");
     INTERN(str_fail, "fail");
-    INTERN(str__resume_cb, "_resume_cb");
     INTERN(str__queue, "_queue");
     INTERN(str_pushdelay, "pushdelay");
     INTERN(str_name, "name");

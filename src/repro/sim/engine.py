@@ -283,15 +283,20 @@ class Process(Event):
     return value) when the generator finishes, so processes can wait on each
     other simply by yielding the other process.
 
-    Ownership: a finished process holds no reference to itself.  The bound
-    ``_resume_cb`` (process -> method -> process) and the ``_target`` it
-    waited on are dropped where the generator ends, so reference counting
-    frees the process as soon as its last waiter lets go; the interrupt
-    queue is only allocated by :meth:`interrupt`.
+    A process is its own resume callback (``__call__`` is :meth:`_resume`):
+    every subscription appends the process object itself, so a wake-up
+    allocates no bound method and a waiting process holds no
+    process -> method -> process cycle.  The C dispatch loop recognises a
+    callback whose type is exactly :class:`Process` and runs the resume in
+    C; subclasses take the plain call.
+
+    Ownership: the ``_target`` a process waited on is dropped where the
+    generator ends, so reference counting frees the process as soon as its
+    last waiter lets go; the interrupt queue is only allocated by
+    :meth:`interrupt`.
     """
 
-    __slots__ = ("generator", "name", "_target", "_interrupts", "_defused",
-                 "_resume_cb")
+    __slots__ = ("generator", "name", "_target", "_interrupts", "_defused")
 
     def __init__(self, engine: "Engine", generator: ProcessGenerator,
                  name: Optional[str] = None):
@@ -302,14 +307,9 @@ class Process(Event):
         #: Created by the first interrupt(); None for almost every process.
         self._interrupts: Optional[List[Interrupt]] = None
         self._defused = False
-        #: The bound resume method, created once.  Every subscription uses
-        #: this same object: no bound-method allocation per wake-up, and the
-        #: C dispatch loop recognises it by its ``__func__`` to run the
-        #: resume fully in C.
-        self._resume_cb = self._resume
         # Bootstrap: resume once at the current time.
         boot = Timeout(engine, 0.0, priority=PRIORITY_URGENT)
-        boot.callbacks.append(self._resume_cb)
+        boot.callbacks.append(self)
         self._target = boot
 
     @property
@@ -327,11 +327,11 @@ class Process(Event):
         target, self._target = self._target, None
         if target is not None and target.callbacks is not None:
             try:
-                target.callbacks.remove(self._resume_cb)
+                target.callbacks.remove(self)
             except ValueError:
                 pass
         wake = Timeout(self.engine, 0.0, priority=PRIORITY_URGENT)
-        wake.callbacks.append(self._resume_cb)
+        wake.callbacks.append(self)
         self._target = wake
 
     def _resume(self, event: Event) -> None:
@@ -355,7 +355,7 @@ class Process(Event):
                     else:
                         next_event = generator.throw(event._value)
                 except StopIteration as stop:
-                    self._resume_cb = self._target = None
+                    self._target = None
                     self.succeed(stop.value)
                     return
                 except BaseException as exc:
@@ -363,7 +363,7 @@ class Process(Event):
                         raise
                     # Unhandled in-process exception: fail the process event;
                     # if nobody is watching, escalate at dispatch time.
-                    self._resume_cb = self._target = None
+                    self._target = None
                     self.fail(exc)
                     # exc's traceback keeps this frame alive: drop the
                     # locals that would otherwise close a cycle through it.
@@ -380,10 +380,12 @@ class Process(Event):
                     event = next_event
                     continue
                 self._target = next_event
-                cbs.append(self._resume_cb)
+                cbs.append(self)
                 return
         finally:
             engine._active_process = None
+
+    __call__ = _resume
 
 
 class Engine:
@@ -650,9 +652,9 @@ def _py_drain(engine: Engine, queue, until: float, clamp: bool,
 
 
 if _C is not None:
-    # Let the C dispatch loop recognise process-resume callbacks (by their
-    # __func__) and raise the kernel's own error type.
-    _C.configure(Process._resume, Process, SimulationError)
+    # Let the C dispatch loop recognise process callbacks (by their exact
+    # type) and raise the kernel's own error type.
+    _C.configure(Process, SimulationError)
     _drain = _C.drain
 else:
     _drain = _py_drain

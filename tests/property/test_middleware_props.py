@@ -155,8 +155,6 @@ def test_interceptor_chains_nest_like_a_stack(n_endpoint, n_fabric):
 
         def _note(self, ctx):
             journal.append((self.tag, ctx.phase))
-            return
-            yield  # pragma: no cover
 
         intercept_send = _note
         intercept_deliver = _note

@@ -24,8 +24,7 @@ HOP = 0.010
 XMIT = MARSHAL + HOP + 256 / 1e6
 
 
-@pytest.fixture
-def stack():
+def make_stack():
     engine = Engine()
     net = Network(engine)
     for name in ("alpha", "beta"):
@@ -36,6 +35,11 @@ def stack():
                                              marshal_per_byte=0.0,
                                              dispatch_fixed=DISPATCH))
     return engine, net, fabric
+
+
+@pytest.fixture
+def stack():
+    return make_stack()
 
 
 def echo_server(engine, fabric, name="server", host="beta"):
@@ -59,8 +63,6 @@ class Recorder(Interceptor):
 
     def _note(self, ctx):
         self.journal.append((self.tag, ctx.phase, ctx.op))
-        return
-        yield  # pragma: no cover
 
     intercept_send = _note
     intercept_deliver = _note
@@ -350,6 +352,64 @@ class TestChainOrdering:
         assert pipeline.find(DeadlineInterceptor) is None
 
 
+class Charge(Interceptor):
+    """Returns ``delay`` from every hook and journals the clock it saw."""
+
+    def __init__(self, journal, tag, delay):
+        self.journal = journal
+        self.tag = tag
+        self.delay = delay
+
+    def _charge(self, ctx):
+        self.journal.append((self.tag, ctx.phase, ctx.engine.now))
+        return self.delay
+
+    intercept_send = _charge
+    intercept_deliver = _charge
+
+
+class TestHookContract:
+    """Hooks are plain calls: ``None`` costs nothing, a number is a delay."""
+
+    @pytest.mark.parametrize("phase", ["send", "deliver"])
+    def test_delay_mid_chain_advances_later_hooks(self, stack, phase):
+        engine, _, fabric = stack
+        journal = []
+        server = echo_server(engine, fabric)
+        client = fabric.endpoint("client", "alpha")
+        host = client if phase == "send" else server   # outbound / inbound
+        for tag, delay in (("before", None), ("charge", 0.25),
+                           ("after", None)):
+            host.pipeline.add(Charge(journal, tag, delay))
+
+        def call():
+            yield from client.rpc("server", "echo", 1)
+
+        engine.run_process(call())
+        seen = {tag: now for tag, p, now in journal if p == phase}
+        assert seen["charge"] == seen["before"]
+        assert seen["after"] == seen["charge"] + 0.25
+
+    @pytest.mark.parametrize("delay, extra_events", [(0.0, 1), (None, 0)])
+    def test_zero_delay_is_one_event_and_none_is_none(self, delay,
+                                                      extra_events):
+        def events_scheduled(with_hook):
+            engine, _, fabric = make_stack()
+            echo_server(engine, fabric)
+            client = fabric.endpoint("client", "alpha")
+            if with_hook:
+                client.pipeline.add(Charge([], "c", delay))
+
+            def call():
+                yield from client.rpc("server", "echo", 1)
+
+            engine.run_process(call())
+            return engine.events_scheduled
+
+        # The RPC crosses the client's chain once (its send leg).
+        assert events_scheduled(True) - events_scheduled(False) == extra_events
+
+
 class TestDeadlines:
     def test_deadline_exceeded_raises(self, stack):
         engine, _, fabric = stack
@@ -479,6 +539,48 @@ class TestFaultInjection:
         engine.run()
         assert results == [5]
         assert fabric.accounting.replies_suppressed == 1
+
+    def test_stop_interrupts_every_duplicate_handler(self, stack):
+        """A duplicated request runs one handler per copy; stop() must
+        interrupt all of them (crash semantics), not only the last."""
+
+        class AlwaysDup:
+            def random(self):
+                return 0.0
+
+        engine, _, fabric = stack
+        server = fabric.endpoint("server", "beta")
+        finished = []
+
+        def slow(msg):
+            yield engine.timeout(10.0)
+            finished.append(engine.now)
+            return (msg.payload, 64)
+
+        server.on("slow", slow)
+        server.start()
+        client = fabric.endpoint(
+            "client", "alpha",
+            interceptors=[FaultInjectionInterceptor(
+                rng=AlwaysDup(), duplicate=1.0, phases=("send",))])
+        outcome = []
+
+        def call():
+            try:
+                outcome.append((yield from client.rpc("server", "slow", 1)))
+            except CommunicationError as exc:
+                outcome.append(exc)
+
+        def crash():
+            yield engine.timeout(1.0)
+            server.stop()
+
+        engine.process(call())
+        engine.process(crash())
+        engine.run()
+        assert finished == []
+        assert len(outcome) == 1
+        assert isinstance(outcome[0], CommunicationError)
 
     def test_probabilistic_drop_uses_rng_stream(self, stack):
         from repro.sim.rng import RandomStreams

@@ -227,6 +227,65 @@ class TestInterrupt:
             p.interrupt()
 
 
+class TestProcessAsCallback:
+    """A process subscribes itself as the callback of what it waits on."""
+
+    def test_two_waiters_resume_in_subscription_order(self, engine):
+        gate = engine.event()
+        woken = []
+
+        def waiter(tag):
+            value = yield gate
+            woken.append((tag, value, engine.now))
+
+        first = engine.process(waiter("first"))
+        second = engine.process(waiter("second"))
+        engine.run()
+        assert gate.callbacks == [first, second]
+        engine.process(_fire(engine, gate, 2.0, "go"))
+        engine.run()
+        assert woken == [("first", "go", 2.0), ("second", "go", 2.0)]
+
+    def test_process_subclass_resumes(self, engine):
+        class Tagged(Process):
+            __slots__ = ("tag",)
+
+        def body():
+            a = yield engine.timeout(1.0, value="a")
+            b = yield engine.timeout(1.0, value="b")
+            return a + b
+
+        p = Tagged(engine, body())
+        p.tag = "t"
+        engine.run()
+        assert p.value == "ab"
+        assert engine.now == 2.0
+
+    def test_interrupt_unsubscribes_from_former_target(self, engine):
+        target = engine.event()
+
+        def sleeper():
+            try:
+                yield target
+            except Interrupt:
+                yield engine.timeout(1.0)
+                return "interrupted"
+
+        p = engine.process(sleeper())
+        engine.run()
+        assert target.callbacks == [p]
+        p.interrupt()
+        assert p not in target.callbacks
+        engine.run()
+        assert p.value == "interrupted"
+        assert target.callbacks == []
+
+
+def _fire(engine, event, delay, value):
+    yield engine.timeout(delay)
+    event.succeed(value)
+
+
 class TestConditions:
     def test_all_of_waits_for_all(self, engine):
         def proc():

@@ -1,5 +1,9 @@
 """Unit tests for the ``python -m repro`` command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.__main__ import build_parser, main
@@ -101,3 +105,40 @@ class TestMain:
         out = capsys.readouterr().out
         assert "saturation throughput" in out
         assert "routing=pull" in out and "routing=push" in out
+
+
+class TestLazyImports:
+    """Experiment modules load on demand: a light command must not pay for
+    the physics stack and scipy."""
+
+    HEAVY = ("scipy", "repro.ramses")
+
+    def _loaded_after(self, code):
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        probe = (f"import sys\n{code}\n"
+                 f"print(sorted(m for m in {self.HEAVY!r} if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True)
+        return out.stdout.strip().splitlines()[-1]
+
+    def test_load_federation_import_is_light(self):
+        assert self._loaded_after(
+            "import repro.experiments.load_federation") == "[]"
+
+    def test_help_is_light(self):
+        # ``python -m repro --help``, run in-process so sys.modules is ours.
+        code = ("import contextlib, io, runpy\n"
+                "sys.argv = ['repro', '--help']\n"
+                "with contextlib.suppress(SystemExit), "
+                "contextlib.redirect_stdout(io.StringIO()):\n"
+                "    runpy.run_module('repro', run_name='__main__')")
+        assert self._loaded_after(code) == "[]"
+
+    def test_experiment_modules_resolve_on_access(self):
+        import repro.experiments as experiments
+        from repro.experiments import figure4
+
+        assert experiments.figure4 is figure4
+        with pytest.raises(AttributeError):
+            experiments.no_such_experiment  # noqa: B018
